@@ -202,7 +202,24 @@ class AvsClient:
 
     @staticmethod
     def _parse_directive(reply: bytes) -> dict[str, Any]:
+        """Decode a cloud directive; any malformed reply is a RecordError.
+
+        A directive is a JSON object.  A ``Throttled`` verdict must carry
+        a ``retryAfterCycles`` hint, and any hint must be a positive
+        ``int`` — JSON ``true``, floats (``1e400`` decodes to ``inf``) and
+        strings are rejected — so the relay can use it as-is.
+        """
         try:
-            return json.loads(reply.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            directive = json.loads(reply.decode())
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise RecordError(f"malformed directive: {exc}") from exc
+        if not isinstance(directive, dict):
+            raise RecordError("malformed directive: not an object")
+        throttled = directive.get("directive") == "Throttled"
+        if throttled or "retryAfterCycles" in directive:
+            hint = directive.get("retryAfterCycles")
+            if type(hint) is not int or hint < 1:
+                raise RecordError(
+                    "malformed directive: retryAfterCycles is not a positive int"
+                )
+        return directive

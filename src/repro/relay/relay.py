@@ -182,7 +182,7 @@ class RelayModule:
                         self._ctx.compute(delay)
                 continue
             if directive.get("directive") == "Throttled":
-                retry_after = max(1, int(directive.get("retryAfterCycles", 1)))
+                retry_after = directive["retryAfterCycles"]
                 self.backpressure_until = self._ctx.now() + retry_after
                 self.last_attempts = attempt + 1
                 self.stats["throttled"] += 1

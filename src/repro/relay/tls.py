@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.crypto.aead import StreamAead
 from repro.crypto.dh import DhKeyPair
 from repro.crypto.kdf import hkdf_expand, hkdf_extract, hmac_sha256
-from repro.errors import HandshakeError, RecordError
+from repro.errors import CryptoError, HandshakeError, RecordError
 from repro.sim.rng import SimRng
 
 _PROTOCOL_LABEL = b"repro-tls-v1"
@@ -62,11 +62,56 @@ def _parse_wire(data: bytes) -> dict:
     """
     try:
         msg = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise RecordError(f"malformed TLS message: {exc}") from exc
     if not isinstance(msg, dict):
         raise RecordError("malformed TLS message: not an object")
     return msg
+
+
+# Field decoders.  Every field of a decoded message is checked against the
+# shape its producer writes (``str`` hex, or ``int`` for sequence numbers)
+# before use: a missing or mistyped field raises ``error`` — a
+# ``CryptoError`` the relay's retry path handles — never a stray
+# ``KeyError``/``TypeError``/``ValueError``.
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _text_field(
+    msg: dict, name: str, what: str, error: type[CryptoError]
+) -> str:
+    value = msg.get(name)
+    if not isinstance(value, str):
+        raise error(f"malformed {what}: {name!r} missing or not a string")
+    return value
+
+
+def _hex_int_field(
+    msg: dict, name: str, what: str, error: type[CryptoError]
+) -> int:
+    text = _text_field(msg, name, what, error)
+    if not text or not _HEX_DIGITS.issuperset(text):
+        raise error(f"malformed {what}: {name!r} is not hex")
+    return int(text, 16)
+
+
+def _hex_bytes_field(
+    msg: dict, name: str, what: str, error: type[CryptoError]
+) -> bytes:
+    text = _text_field(msg, name, what, error)
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise error(f"malformed {what}: {name!r} is not hex") from exc
+
+
+def _record_seq(msg: dict) -> int:
+    value = msg.get("seq")
+    # ``bool`` is an ``int`` subclass; JSON ``true`` is not a sequence number.
+    if type(value) is not int or value < 0:
+        raise RecordError("malformed record: 'seq' missing or not a count")
+    return value
 
 
 class TlsServer:
@@ -97,8 +142,9 @@ class TlsServer:
         raise RecordError(f"unknown TLS message type {kind!r}")
 
     def _server_hello(self, msg: dict) -> bytes:
-        client_pub = int(msg["public"], 16)
-        client_nonce = bytes.fromhex(msg["nonce"])
+        what = "client hello"
+        client_pub = _hex_int_field(msg, "public", what, HandshakeError)
+        client_nonce = _hex_bytes_field(msg, "nonce", what, HandshakeError)
         ephemeral = DhKeyPair.generate(self._rng.fork(f"eph{msg['nonce']}").bytes(32))
         server_nonce = self._rng.bytes(16)
         # Bind both the ephemeral DH and the static identity.
@@ -139,12 +185,12 @@ class TlsServer:
         if self._conn is None:
             raise HandshakeError("record before handshake")
         conn = self._conn
-        seq = int(msg["seq"])
+        seq = _record_seq(msg)
         if seq != conn["recv_seq"]:
             raise RecordError(
                 f"bad record sequence: got {seq}, want {conn['recv_seq']}"
             )
-        sealed = bytes.fromhex(msg["payload"])
+        sealed = _hex_bytes_field(msg, "payload", "record", RecordError)
         plaintext = conn["recv"].open(_nonce(seq), sealed)
         conn["recv_seq"] += 1
         reply = conn["app_handler"](plaintext)
@@ -221,11 +267,10 @@ class TlsClient:
         reply = _parse_wire(self._transport(hello))
         if reply.get("type") != "server_hello":
             raise HandshakeError(f"unexpected reply {reply.get('type')!r}")
-        try:
-            server_pub = int(reply["public"], 16)
-            server_nonce = bytes.fromhex(reply["nonce"])
-        except (KeyError, ValueError) as exc:
-            raise HandshakeError(f"malformed server hello: {exc}") from exc
+        what = "server hello"
+        server_pub = _hex_int_field(reply, "public", what, HandshakeError)
+        server_nonce = _hex_bytes_field(reply, "nonce", what, HandshakeError)
+        finished = _text_field(reply, "finished", what, HandshakeError)
         pinned_pub_int = int.from_bytes(self._pinned, "big")
         shared = ephemeral.shared_secret(server_pub) + ephemeral.shared_secret(
             pinned_pub_int
@@ -234,7 +279,7 @@ class TlsClient:
         expect = hmac_sha256(
             keys["finished"], b"server" + client_nonce + server_nonce
         )
-        if expect.hex() != reply["finished"]:
+        if expect.hex() != finished:
             raise HandshakeError("server finished MAC mismatch (MITM?)")
         self._send = StreamAead(keys["client_traffic"])
         self._recv = StreamAead(keys["server_traffic"])
@@ -256,11 +301,8 @@ class TlsClient:
         reply = _parse_wire(self._transport(wire))
         if reply.get("type") != "record":
             raise RecordError(f"unexpected reply {reply.get('type')!r}")
-        try:
-            rseq = int(reply["seq"])
-            sealed_reply = bytes.fromhex(reply["payload"])
-        except (KeyError, ValueError) as exc:
-            raise RecordError(f"malformed record: {exc}") from exc
+        rseq = _record_seq(reply)
+        sealed_reply = _hex_bytes_field(reply, "payload", "record", RecordError)
         if rseq != self._recv_seq:
             raise RecordError(f"bad reply sequence {rseq}, want {self._recv_seq}")
         self._recv_seq += 1

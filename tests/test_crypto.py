@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import StreamAead
-from repro.crypto.dh import MODP_GROUP_14, DhKeyPair
+from repro.crypto.dh import (
+    GENERATOR,
+    MODP_GROUP_14,
+    WINDOW_BITS,
+    WINDOW_ROWS,
+    DhKeyPair,
+    fixed_base_pow,
+)
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract, hmac_sha256
 from repro.errors import AuthenticationFailure, CryptoError
 
@@ -129,5 +136,62 @@ class TestDh:
         with pytest.raises(CryptoError):
             DhKeyPair.generate(b"short")
 
+    @pytest.mark.parametrize("size", [31, 33, 64])
+    def test_randomness_must_be_exactly_32_bytes(self, size):
+        with pytest.raises(CryptoError, match="exactly 32"):
+            DhKeyPair.generate(b"\x01" * size)
+
     def test_public_bytes_length(self):
         assert len(DhKeyPair.generate(b"x" * 32).public_bytes()) == 256
+
+    def test_public_pinned_against_pow_reference(self):
+        """The table changes only speed: the largest 32-byte input keeps
+        the public value (and so every handshake's wire bytes) of
+        ``pow(g, x, p)``."""
+        kp = DhKeyPair.generate(b"\xff" * 32)
+        assert kp.private == (2**256 - 1) % (MODP_GROUP_14 - 2) + 2
+        assert kp.public == pow(GENERATOR, kp.private, MODP_GROUP_14)
+
+
+class TestFixedBaseTable:
+    def test_table_covers_every_generated_exponent(self):
+        assert WINDOW_BITS * WINDOW_ROWS >= (2**256 + 1).bit_length()
+
+    @pytest.mark.parametrize(
+        "exponent",
+        [
+            0,
+            1,
+            2,
+            2**256 + 1,
+            # Every window digit at its maximum.
+            2 ** (WINDOW_BITS * WINDOW_ROWS) - 1,
+            # Only the lowest and highest windows set; all-zero interior.
+            (1 << (WINDOW_BITS * (WINDOW_ROWS - 1))) | 1,
+            ((2**WINDOW_BITS - 1) << (WINDOW_BITS * (WINDOW_ROWS - 1)))
+            | (2**WINDOW_BITS - 1),
+        ],
+        ids=["zero", "one", "two", "max-private", "all-max-digits",
+             "zero-interior", "zero-interior-max-ends"],
+    )
+    def test_edge_exponents_match_pow(self, exponent):
+        assert fixed_base_pow(exponent) == pow(GENERATOR, exponent, MODP_GROUP_14)
+
+    @given(st.integers(min_value=2, max_value=2**256 + 1))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_pow(self, exponent):
+        assert fixed_base_pow(exponent) == pow(GENERATOR, exponent, MODP_GROUP_14)
+
+    @given(st.binary(min_size=32, max_size=32))
+    @settings(max_examples=30, deadline=None)
+    def test_property_generate_matches_pow(self, random_bytes):
+        kp = DhKeyPair.generate(random_bytes)
+        assert 2 <= kp.private <= 2**256 + 1
+        assert kp.public == pow(GENERATOR, kp.private, MODP_GROUP_14)
+
+    @pytest.mark.parametrize(
+        "exponent", [-1, 2 ** (WINDOW_BITS * WINDOW_ROWS)], ids=["negative", "too-wide"]
+    )
+    def test_exponent_outside_table_rejected(self, exponent):
+        with pytest.raises(CryptoError):
+            fixed_base_pow(exponent)

@@ -125,6 +125,115 @@ class TestRecords:
             client.request(b"data")
 
 
+def _rewrite_reply(server, edit):
+    """A transport that lets ``edit`` mutate each decoded server reply."""
+
+    def transport(request):
+        reply = json.loads(server.handle(request).decode())
+        edit(reply)
+        return json.dumps(reply).encode()
+
+    return transport
+
+
+class TestMalformedWire:
+    """Each missing or mistyped field is a protocol error, never a raw
+    KeyError/TypeError/ValueError that would escape the relay's retry path."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda reply: reply.pop("finished"),
+            lambda reply: reply.update(nonce=12),
+            lambda reply: reply.update(public=12),
+            lambda reply: reply.update(public="zz"),
+            lambda reply: reply.update(public=""),
+            lambda reply: reply.update(finished=None),
+        ],
+        ids=[
+            "no-finished", "int-nonce", "int-public", "non-hex-public",
+            "empty-public", "null-finished",
+        ],
+    )
+    def test_client_rejects_malformed_server_hello(self, edit):
+        server = TlsServer(SimRng(1, "server"))
+        client = TlsClient(
+            _rewrite_reply(server, edit), server.static_public, SimRng(2, "c")
+        )
+        with pytest.raises(HandshakeError, match="malformed server hello"):
+            client.handshake()
+        assert not client.connected
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"type": "client_hello"},
+            {"type": "client_hello", "public": 12, "nonce": "00"},
+            {"type": "client_hello", "public": "not hex!", "nonce": "00"},
+            {"type": "client_hello", "public": "0x1f", "nonce": "00"},
+            {"type": "client_hello", "public": "1f", "nonce": 7},
+            {"type": "client_hello", "public": "1f", "nonce": "0g"},
+        ],
+        ids=[
+            "no-fields", "int-public", "non-hex-public", "prefixed-public",
+            "int-nonce", "non-hex-nonce",
+        ],
+    )
+    def test_server_rejects_malformed_client_hello(self, hello):
+        server = TlsServer(SimRng(1, "server"))
+        with pytest.raises(HandshakeError, match="malformed client hello"):
+            server.handle(json.dumps(hello).encode())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda reply: reply.pop("seq"),
+            lambda reply: reply.update(seq="0"),
+            lambda reply: reply.update(seq=True),
+            lambda reply: reply.update(seq=-1),
+            lambda reply: reply.update(payload=5),
+            lambda reply: reply.update(payload="xyz"),
+        ],
+        ids=[
+            "no-seq", "str-seq", "bool-seq", "negative-seq", "int-payload",
+            "non-hex-payload",
+        ],
+    )
+    def test_client_rejects_malformed_record(self, edit):
+        server = TlsServer(SimRng(1, "server"))
+        client = TlsClient(server.handle, server.static_public, SimRng(2, "c"))
+        client.handshake()
+
+        def edit_records(reply):
+            if reply.get("type") == "record":
+                edit(reply)
+
+        client._transport = _rewrite_reply(server, edit_records)
+        with pytest.raises(RecordError, match="malformed record"):
+            client.request(b"hello")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"type": "record"},
+            {"type": "record", "seq": "0", "payload": "00"},
+            {"type": "record", "seq": False, "payload": "00"},
+            {"type": "record", "seq": 0, "payload": None},
+        ],
+        ids=["no-fields", "str-seq", "bool-seq", "null-payload"],
+    )
+    def test_server_rejects_malformed_record(self, pair, record):
+        server, client = pair
+        client.handshake()
+        with pytest.raises(RecordError, match="malformed record"):
+            server.handle(json.dumps(record).encode())
+
+    def test_deeply_nested_message_rejected(self):
+        server = TlsServer(SimRng(1, "server"))
+        with pytest.raises(RecordError):
+            server.handle(b"[" * 100_000)
+
+
 class TestAvsProtocol:
     def test_event_round_trip(self):
         event = AvsEvent.recognize("play music", dialog_id=3)
@@ -167,3 +276,40 @@ class TestAvsProtocol:
         avs.recognize("a")
         avs.recognize("b")
         assert avs._dialog_id == 2
+
+
+class TestDirectiveDecoding:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"[]",
+            b'"x"',
+            b'{"directive":"Throttled","retryAfterCycles":1e400}',
+            b'"12"',
+            b"true",
+            b'{"directive":"Throttled"}',
+            b'{"directive":"Throttled","retryAfterCycles":true}',
+            b'{"directive":"Throttled","retryAfterCycles":2.5}',
+            b'{"directive":"Throttled","retryAfterCycles":"12"}',
+            b'{"directive":"Throttled","retryAfterCycles":0}',
+            b'{"directive":"Ack","retryAfterCycles":-3}',
+            b"[" * 100_000,
+        ],
+        ids=[
+            "list", "string", "inf-hint", "numeric-string", "bool",
+            "missing-hint", "bool-hint", "float-hint", "string-hint",
+            "zero-hint", "negative-hint-on-ack", "deep-nesting",
+        ],
+    )
+    def test_malformed_directive_is_record_error(self, reply):
+        with pytest.raises(RecordError, match="malformed directive"):
+            AvsClient._parse_directive(reply)
+
+    def test_valid_directives_pass_through(self):
+        throttled = b'{"directive":"Throttled","retryAfterCycles":40}'
+        assert AvsClient._parse_directive(throttled) == {
+            "directive": "Throttled", "retryAfterCycles": 40,
+        }
+        assert AvsClient._parse_directive(b'{"directive":"Ack"}') == {
+            "directive": "Ack",
+        }

@@ -97,3 +97,25 @@ class TestRelayModule:
             assert relay.heartbeat()["directive"] == "Ack"
         finally:
             machine.cpu._set_world(World.NORMAL)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b"[]", b'{"directive":"Throttled","retryAfterCycles":1e400}'],
+        ids=["list", "inf-hint"],
+    )
+    def test_malformed_directive_takes_retry_path(self, relay_setup, reply):
+        """A bad directive burns the retry budget like any record error
+        instead of escaping as AttributeError/OverflowError."""
+        from repro.errors import RelayExhaustedError
+        from repro.tz.worlds import World
+
+        machine, relay, cloud = relay_setup
+        cloud.tls.set_handler(lambda plaintext: reply)
+        machine.cpu._set_world(World.SECURE)
+        try:
+            with pytest.raises(RelayExhaustedError, match="malformed directive"):
+                relay.heartbeat()
+        finally:
+            machine.cpu._set_world(World.NORMAL)
+        assert relay.stats["retries"] == relay.policy.max_attempts - 1
+        assert relay.backpressure_until == 0
