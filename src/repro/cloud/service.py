@@ -40,6 +40,7 @@ import json
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import RecordError
 from repro.relay.avs import AvsEvent
@@ -141,6 +142,22 @@ class IngestionConfig:
 def tenant_shard(device_id: str, shards: int) -> int:
     """Deterministic tenant→shard mapping (CRC32, never salted hash)."""
     return zlib.crc32(device_id.encode()) % shards
+
+
+def _dedup_fields(payload: dict[str, Any]) -> tuple[int, int]:
+    """An event's ``(dialogRequestId, attempt)``, typed from device input.
+
+    Both must be real ints (JSON ``true`` is not an id) and attempts count
+    from 1; anything else is a :class:`RecordError`, answered "bad event".
+    """
+    dialog_id = payload.get("dialogRequestId", -1)
+    attempt = payload.get("attempt", 1)
+    if type(dialog_id) is not int or type(attempt) is not int or attempt < 1:
+        raise RecordError(
+            f"malformed AVS event: dialogRequestId={dialog_id!r}, "
+            f"attempt={attempt!r}"
+        )
+    return dialog_id, attempt
 
 
 @dataclass
@@ -371,13 +388,13 @@ class VoiceCloudService:
     def _handle_event(self, payload: bytes, encrypted: bool) -> bytes:
         try:
             event = AvsEvent.from_bytes(payload)
+            if event.name in ("Recognize", "Alert"):
+                dialog_id, attempt = _dedup_fields(event.payload)
         except RecordError:
             return json.dumps({"directive": "error", "reason": "bad event"}).encode()
         self.events_handled += 1
         if event.name == "Recognize":
             transcript = str(event.payload.get("transcript", ""))
-            dialog_id = int(event.payload.get("dialogRequestId", -1))
-            attempt = int(event.payload.get("attempt", 1))
             device_id = str(event.payload.get("deviceId", ""))
             trace_id = str(event.payload.get("traceId", ""))
             key = (encrypted, device_id, dialog_id)
@@ -402,8 +419,6 @@ class VoiceCloudService:
                 {"directive": "Response", "speech": f"ok: {len(transcript)} chars"}
             ).encode()
         if event.name == "Alert":
-            dialog_id = int(event.payload.get("dialogRequestId", -1))
-            attempt = int(event.payload.get("attempt", 1))
             device_id = str(event.payload.get("deviceId", ""))
             key = (encrypted, device_id, dialog_id)
             if attempt > 1 and key in self._seen_dialogs:

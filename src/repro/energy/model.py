@@ -11,6 +11,7 @@ reproduction's trends rest on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.sim.clock import CycleDomain, SimClock
@@ -53,44 +54,38 @@ class EnergyReport:
 
 @dataclass
 class EnergyMeter:
-    """Integrates the power model over clock charges.
+    """Energy as a view of the clock's per-domain cycle totals.
 
-    Subscribe once per clock; read with :meth:`report`, or bracket a region
-    with :meth:`snapshot` / :meth:`delta_since`.
+    A domain's energy is ``power_mw[d] × (cycles_in(d) − base[d]) / freq_hz``,
+    ``base`` being the clock's totals at creation.  Read with :meth:`report`,
+    or bracket a region with :meth:`snapshot` / :meth:`delta_since`.
     """
 
     clock: SimClock
     power: PowerModel = field(default_factory=PowerModel)
-    _energy_mj: dict[CycleDomain, float] = field(default_factory=dict)
-    _power_mw: dict[CycleDomain, float] = field(default_factory=dict, repr=False)
+    _base: dict[CycleDomain, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        # The power table is immutable (frozen dataclass): resolve it once
-        # instead of rebuilding the lookup dict on every clock charge —
-        # this listener runs on the simulator's hottest path.
-        self._power_mw = {d: self.power.power_mw(d) for d in CycleDomain}
-        self.clock.subscribe(self._on_charge)
+        self._base = self.clock.snapshot().per_domain
 
-    def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        seconds = cycles / self.clock.freq_hz
-        mj = self._power_mw[domain] * seconds  # mW * s = mJ
-        self._energy_mj[domain] = self._energy_mj.get(domain, 0.0) + mj
+    def energy_mj(self, cycles: dict[CycleDomain, int]) -> dict[CycleDomain, float]:
+        """The energy of a per-domain cycle split (zero entries dropped)."""
+        seconds = {d: c / self.clock.freq_hz for d, c in cycles.items() if c}
+        return {d: self.power.power_mw(d) * s for d, s in seconds.items()}
 
     def report(self) -> EnergyReport:
         """Cumulative energy since meter creation."""
-        return EnergyReport(
-            total_mj=sum(self._energy_mj.values()),
-            per_domain_mj=dict(self._energy_mj),
-        )
+        return self.delta_since({})
 
     def snapshot(self) -> dict[CycleDomain, float]:
         """Current per-domain totals, for delta measurement."""
-        return dict(self._energy_mj)
+        base, totals = self._base, self.clock.snapshot().per_domain
+        return self.energy_mj({d: c - base.get(d, 0) for d, c in totals.items()})
 
     def delta_since(self, snapshot: dict[CycleDomain, float]) -> EnergyReport:
         """Energy accumulated since a snapshot."""
         per_domain = {}
-        for domain, mj in self._energy_mj.items():
+        for domain, mj in self.snapshot().items():
             diff = mj - snapshot.get(domain, 0.0)
             if diff > 0:
                 per_domain[domain] = diff
@@ -99,5 +94,5 @@ class EnergyMeter:
         )
 
     def detach(self) -> None:
-        """Stop metering (unsubscribe from the clock)."""
-        self.clock.unsubscribe(self._on_charge)
+        """Stop metering: read from a copy of the clock frozen at this point."""
+        self.clock = copy.deepcopy(self.clock)

@@ -3,19 +3,19 @@
 One :class:`Observability` instance hangs off every
 :class:`~repro.tz.machine.TrustZoneMachine` as ``machine.obs``, bundling
 the span tracer and the metrics registry so instrumented subsystems reach
-both through a single attribute.  It also subscribes to the clock to keep
-live per-domain cycle counters in the registry (``cycles.<domain>``),
-which gives ``repro profile`` whole-run domain totals without any
-subsystem having to report them.
+both through a single attribute.  Its ``cycles.<domain>`` counters, the
+whole-run domain totals ``repro profile`` reads, are filled from the clock's
+per-domain totals when read: nothing runs per clock charge.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import SpanTracer, _ActiveSpan
-from repro.sim.clock import CycleDomain, SimClock
+from repro.sim.clock import SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import EnergyMeter
@@ -33,14 +33,8 @@ class Observability:
         trace: "TraceLog | None" = None,
         cpu: "Cpu | None" = None,
     ):
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(derived=partial(_cycle_totals, clock))
         self.tracer = SpanTracer(clock, trace=trace, cpu=cpu, metrics=self.metrics)
-        self._clock = clock
-        clock.subscribe(self._on_charge)
-
-    def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        if self.metrics.enabled:
-            self.metrics.counter(f"cycles.{domain.value}").inc(cycles)
 
     # -- convenience -----------------------------------------------------------
 
@@ -71,3 +65,8 @@ class Observability:
         """
         self.tracer.enabled = False
         self.metrics.enabled = False
+
+
+def _cycle_totals(clock: SimClock) -> dict[str, int]:
+    """The clock's per-domain totals as ``cycles.<domain>`` counter values."""
+    return {f"cycles.{d.value}": n for d, n in clock.snapshot().per_domain.items()}

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -556,12 +557,16 @@ class MetricsRegistry:
     so call sites stay one line and the registry remains the single
     namespace.  Dots namespace metrics the same way trace categories do
     (``tz.*``, ``optee.*``, ``stage.secure.*`` ...).
+
+    ``derived()`` gives never-decreasing totals by counter name; those
+    counters grow with their totals while enabled, filled in when read.
     """
 
-    def __init__(self, snapshot_capacity: int = 512) -> None:
+    def __init__(self, snapshot_capacity: int = 512,
+                 derived: Callable[[], dict[str, int]] = dict) -> None:
         if snapshot_capacity < 1:
             raise ValueError("snapshot_capacity must be positive")
-        self.enabled = True
+        self._enabled = True
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, BucketHistogram] = {}
@@ -572,6 +577,27 @@ class MetricsRegistry:
         # Windowed time series for burn-rate SLOs.
         self.snapshot_capacity = snapshot_capacity
         self._snapshots: list[RegistrySnapshot] = []
+        # The derived totals when counters were last filled.
+        self._derived = derived
+        self._mark = derived()
+
+    @property
+    def enabled(self) -> bool:
+        """Whether recording is on; derived counters grow only while it is."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, on: bool) -> None:
+        self._fill_derived()
+        self._enabled = on
+
+    def _fill_derived(self) -> None:
+        totals = self._derived()
+        if self._enabled:
+            for name, total in totals.items():
+                if grown := total - self._mark.get(name, 0):
+                    self.counter(name).inc(grown)
+        self._mark = totals
 
     # -- access / creation -----------------------------------------------------
 
@@ -600,12 +626,12 @@ class MetricsRegistry:
 
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n`` (no-op while disabled)."""
-        if self.enabled:
+        if self._enabled:
             self.counter(name).inc(n)
 
     def set(self, name: str, value: float) -> None:
         """Set gauge ``name`` (no-op while disabled)."""
-        if self.enabled:
+        if self._enabled:
             self.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
@@ -617,7 +643,7 @@ class MetricsRegistry:
         subset is deterministic and the weighted counts remain unbiased
         estimates of the full stream.
         """
-        if not self.enabled:
+        if not self._enabled:
             return
         k = self.sample_every
         if k <= 1:
@@ -655,13 +681,9 @@ class MetricsRegistry:
         The ring is bounded by ``snapshot_capacity`` (oldest dropped);
         no-op while the registry is disabled.
         """
-        if not self.enabled:
+        if not self._enabled:
             return
-        counters = {
-            name: c.value
-            for name, c in sorted(self._counters.items())
-            if name.startswith(prefixes)
-        }
+        counters = self.counters(prefixes)
         hists = {
             name: {
                 "gamma": h.gamma,
@@ -685,8 +707,9 @@ class MetricsRegistry:
 
     # -- reading back -----------------------------------------------------------
 
-    def counters(self, prefix: str = "") -> dict[str, int]:
-        """Counter values whose names start with ``prefix``."""
+    def counters(self, prefix: str | tuple[str, ...] = "") -> dict[str, int]:
+        """Counter values whose names start with ``prefix`` (or one of them)."""
+        self._fill_derived()
         return {
             name: c.value
             for name, c in sorted(self._counters.items())
@@ -720,8 +743,8 @@ class MetricsRegistry:
         (e.g. energy per utterance) as histograms instead, so merging
         preserves the distribution rather than inflating the reading.
         """
-        for name, c in other._counters.items():
-            self.counter(name).inc(c.value)
+        for name, value in other.counters().items():
+            self.counter(name).inc(value)
         for name, g in other._gauges.items():
             self.gauge(name).set(self.gauge(name).value + g.value)
         for name, h in other._histograms.items():
@@ -738,7 +761,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """Everything, as a JSON-ready dict."""
         return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "counters": self.counters(),
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
                 n: h.summary() for n, h in sorted(self._histograms.items())
@@ -755,7 +778,7 @@ class MetricsRegistry:
         registries back as documents.
         """
         return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "counters": self.counters(),
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
                 n: h.to_doc() for n, h in sorted(self._histograms.items())
@@ -780,6 +803,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every metric (a fresh namespace)."""
+        self._fill_derived()
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

@@ -114,8 +114,7 @@ class Span:
 class _ActiveSpan:
     """Context manager for one in-flight span."""
 
-    __slots__ = ("_tracer", "span", "_start_domains", "_start_switches",
-                 "_start_energy")
+    __slots__ = ("_tracer", "span", "_start_domains", "_start_switches")
 
     def __init__(self, tracer: "SpanTracer", span: Span):
         self._tracer = tracer
@@ -164,7 +163,7 @@ class SpanTracer:
         self._next_id = 1
 
     def attach_energy(self, meter: "EnergyMeter") -> None:
-        """Wire the platform's energy meter for per-span energy deltas."""
+        """Price each span's per-domain cycles with the platform's meter."""
         self._energy = meter
 
     def attach_recorder(self, recorder: "FlightRecorder | None") -> None:
@@ -198,9 +197,6 @@ class SpanTracer:
         active._start_switches = (
             self._cpu.switch_count if self._cpu is not None else 0
         )
-        active._start_energy = (
-            self._energy.snapshot() if self._energy is not None else None
-        )
         self._stack.append(sp)
 
     def _end(self, active: _ActiveSpan) -> None:
@@ -220,8 +216,8 @@ class SpanTracer:
         }
         if self._cpu is not None:
             sp.world_switches = self._cpu.switch_count - active._start_switches
-        if self._energy is not None and active._start_energy is not None:
-            sp.energy_mj = self._energy.delta_since(active._start_energy).total_mj
+        if self._energy is not None:
+            sp.energy_mj = sum(self._energy.energy_mj(sp.domain_cycles).values())
         if self._recorder is not None:
             self._recorder.record(sp)
         if not self.enabled:

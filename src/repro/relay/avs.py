@@ -111,17 +111,21 @@ class AvsEvent:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AvsEvent":
-        """Parse the wire encoding."""
+        """Parse the wire encoding; any malformed event is a RecordError."""
         try:
             doc = json.loads(data.decode())
             header = doc["event"]["header"]
-            return cls(
+            event = cls(
                 namespace=header["namespace"],
                 name=header["name"],
                 payload=doc["event"].get("payload", {}),
             )
-        except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (KeyError, TypeError, AttributeError, json.JSONDecodeError,
+                UnicodeDecodeError, RecursionError) as exc:
             raise RecordError(f"malformed AVS event: {exc}") from exc
+        if not isinstance(event.payload, dict):
+            raise RecordError("malformed AVS event: payload is not an object")
+        return event
 
 
 class AvsClient:

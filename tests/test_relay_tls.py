@@ -313,3 +313,76 @@ class TestDirectiveDecoding:
         assert AvsClient._parse_directive(b'{"directive":"Ack"}') == {
             "directive": "Ack",
         }
+
+
+def _event_bytes(name, payload):
+    namespace = "SpeechRecognizer" if name == "Recognize" else "System"
+    return json.dumps({
+        "event": {
+            "header": {"namespace": namespace, "name": name},
+            "payload": payload,
+        }
+    }).encode()
+
+
+class TestCloudEventDecoding:
+    """Device-supplied event fields are decoded, never int()-coerced: each
+    malformed event gets the "bad event" reply and records nothing."""
+
+    BAD_EVENT = {"directive": "error", "reason": "bad event"}
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            _event_bytes("Recognize", {"transcript": "t", "dialogRequestId": "x"}),
+            _event_bytes("Recognize", {"transcript": "t", "dialogRequestId": True}),
+            _event_bytes("Recognize", {"transcript": "t", "dialogRequestId": 1.5}),
+            _event_bytes("Recognize", {"transcript": "t", "dialogRequestId": None}),
+            _event_bytes("Recognize", {"dialogRequestId": 1, "attempt": [1]}),
+            _event_bytes("Recognize", {"dialogRequestId": 1, "attempt": "2"}),
+            _event_bytes("Recognize", {"dialogRequestId": 1, "attempt": True}),
+            _event_bytes("Recognize", {"dialogRequestId": 1, "attempt": 0}),
+            _event_bytes("Recognize", {"dialogRequestId": 1, "attempt": -4}),
+            _event_bytes("Alert", {"alert": "{}", "dialogRequestId": "x"}),
+            _event_bytes("Alert", {"alert": "{}", "dialogRequestId": 1,
+                                   "attempt": [1]}),
+            _event_bytes("Recognize", ["transcript"]),
+            b'{"event": []}',
+            b"[]",
+            b"[" * 100_000,
+        ],
+        ids=[
+            "string-dialog-id", "bool-dialog-id", "float-dialog-id",
+            "null-dialog-id", "list-attempt", "string-attempt", "bool-attempt",
+            "zero-attempt", "negative-attempt", "alert-string-dialog-id",
+            "alert-list-attempt", "list-payload", "list-event", "list-doc",
+            "deep-nesting",
+        ],
+    )
+    def test_malformed_event_gets_bad_event_reply(self, event):
+        from repro.cloud.service import VoiceCloudService
+
+        cloud = VoiceCloudService(SimRng(1, "cloud"))
+        reply = cloud._handle_event(event, encrypted=True)
+        assert json.loads(reply) == self.BAD_EVENT
+        assert cloud.received == []
+        assert cloud.alerts == []
+        assert cloud.events_handled == 0
+
+    def test_well_typed_events_still_recorded(self):
+        from repro.cloud.service import VoiceCloudService
+
+        cloud = VoiceCloudService(SimRng(1, "cloud"))
+        first = AvsEvent.recognize("hello", dialog_id=7).to_bytes()
+        retry = AvsEvent.recognize("hello", dialog_id=7, attempt=2).to_bytes()
+        assert json.loads(cloud._handle_event(first, True))["directive"] == (
+            "Response"
+        )
+        cloud._handle_event(retry, True)
+        assert cloud.received_transcripts == ["hello"]
+        assert cloud.duplicates_suppressed == 1
+        alert = AvsEvent.alert('{"rule": "r"}', dialog_id=8).to_bytes()
+        assert json.loads(cloud._handle_event(alert, True)) == {
+            "directive": "AlertAck"
+        }
+        assert cloud.alerts == [{"rule": "r"}]

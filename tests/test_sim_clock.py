@@ -89,28 +89,6 @@ class TestSnapshot:
         assert snap.now == 0
 
 
-class TestListeners:
-    def test_listener_invoked(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda d, c: seen.append((d, c)))
-        clock.advance(42, CycleDomain.MONITOR)
-        assert seen == [(CycleDomain.MONITOR, 42)]
-
-    def test_unsubscribe(self):
-        clock = SimClock()
-        seen = []
-        listener = lambda d, c: seen.append(c)  # noqa: E731
-        clock.subscribe(listener)
-        clock.advance(1, CycleDomain.IDLE)
-        clock.unsubscribe(listener)
-        clock.advance(1, CycleDomain.IDLE)
-        assert seen == [1]
-
-    def test_unsubscribe_unknown_is_noop(self):
-        SimClock().unsubscribe(lambda d, c: None)
-
-
 class TestReset:
     def test_reset_zeroes_everything(self):
         clock = SimClock()
@@ -118,14 +96,6 @@ class TestReset:
         clock.reset()
         assert clock.now == 0
         assert clock.cycles_in(CycleDomain.NORMAL_CPU) == 0
-
-    def test_reset_keeps_listeners(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda d, c: seen.append(c))
-        clock.reset()
-        clock.advance(3, CycleDomain.DMA)
-        assert seen == [3]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=50))
