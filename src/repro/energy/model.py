@@ -11,7 +11,7 @@ reproduction's trends rest on.
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.sim.clock import CycleDomain, SimClock
@@ -56,17 +56,20 @@ class EnergyReport:
 class EnergyMeter:
     """Energy as a view of the clock's per-domain cycle totals.
 
-    A domain's energy is ``power_mw[d] × (cycles_in(d) − base[d]) / freq_hz``,
-    ``base`` being the clock's totals at creation.  Read with :meth:`report`,
-    or bracket a region with :meth:`snapshot` / :meth:`delta_since`.
+    A domain's energy is ``power_mw[d] × (charged(d) − base[d]) / freq_hz``,
+    ``base`` being the clock's :meth:`~SimClock.charged` totals at creation.
+    Read with :meth:`report`, or bracket a region with :meth:`snapshot` /
+    :meth:`delta_since`.
     """
 
     clock: SimClock
     power: PowerModel = field(default_factory=PowerModel)
     _base: dict[CycleDomain, int] = field(default_factory=dict, repr=False)
+    _totals: Callable[[], dict[CycleDomain, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._base = self.clock.snapshot().per_domain
+        self._totals = self.clock.charged
+        self._base = self._totals()
 
     def energy_mj(self, cycles: dict[CycleDomain, int]) -> dict[CycleDomain, float]:
         """The energy of a per-domain cycle split (zero entries dropped)."""
@@ -79,7 +82,7 @@ class EnergyMeter:
 
     def snapshot(self) -> dict[CycleDomain, float]:
         """Current per-domain totals, for delta measurement."""
-        base, totals = self._base, self.clock.snapshot().per_domain
+        base, totals = self._base, self._totals()
         return self.energy_mj({d: c - base.get(d, 0) for d, c in totals.items()})
 
     def delta_since(self, snapshot: dict[CycleDomain, float]) -> EnergyReport:
@@ -94,5 +97,5 @@ class EnergyMeter:
         )
 
     def detach(self) -> None:
-        """Stop metering: read from a copy of the clock frozen at this point."""
-        self.clock = copy.deepcopy(self.clock)
+        """Stop metering: read the clock's totals as they stand now."""
+        self._totals = self._totals().copy

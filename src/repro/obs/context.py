@@ -69,4 +69,4 @@ class Observability:
 
 def _cycle_totals(clock: SimClock) -> dict[str, int]:
     """The clock's per-domain totals as ``cycles.<domain>`` counter values."""
-    return {f"cycles.{d.value}": n for d, n in clock.snapshot().per_domain.items()}
+    return {f"cycles.{d.value}": n for d, n in clock.charged().items()}

@@ -559,7 +559,8 @@ class MetricsRegistry:
     (``tz.*``, ``optee.*``, ``stage.secure.*`` ...).
 
     ``derived()`` gives never-decreasing totals by counter name; those
-    counters grow with their totals while enabled, filled in when read.
+    counters grow with their totals while enabled, filled in whenever a
+    counter is read (:meth:`counter`, :meth:`counters` and every export).
     """
 
     def __init__(self, snapshot_capacity: int = 512,
@@ -596,13 +597,17 @@ class MetricsRegistry:
         if self._enabled:
             for name, total in totals.items():
                 if grown := total - self._mark.get(name, 0):
-                    self.counter(name).inc(grown)
+                    self._counter(name).inc(grown)
         self._mark = totals
 
     # -- access / creation -----------------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
+        """Get or create the counter ``name`` (derived counters brought up to date)."""
+        self._fill_derived()
+        return self._counter(name)
+
+    def _counter(self, name: str) -> Counter:
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
@@ -627,7 +632,7 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n`` (no-op while disabled)."""
         if self._enabled:
-            self.counter(name).inc(n)
+            self._counter(name).inc(n)
 
     def set(self, name: str, value: float) -> None:
         """Set gauge ``name`` (no-op while disabled)."""
@@ -744,7 +749,7 @@ class MetricsRegistry:
         preserves the distribution rather than inflating the reading.
         """
         for name, value in other.counters().items():
-            self.counter(name).inc(value)
+            self._counter(name).inc(value)
         for name, g in other._gauges.items():
             self.gauge(name).set(self.gauge(name).value + g.value)
         for name, h in other._histograms.items():

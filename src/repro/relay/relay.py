@@ -35,6 +35,13 @@ from repro.relay.avs import AvsClient
 from repro.relay.tls import TlsClient
 from repro.sim.rng import SimRng
 
+#: The longest backpressure window a cloud ``Throttled`` hint can open, so
+#: an untrusted cloud cannot park the device indefinitely.  10 s at 2 GHz
+#: sits above every honest hint: the ``--overload`` ingestion profile
+#: issues at most one token refill plus a two-record backlog drain, 8e9
+#: cycles.
+MAX_RETRY_AFTER_CYCLES = 20_000_000_000
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -44,12 +51,6 @@ class RetryPolicy:
     ``min(cap, base * multiplier**attempt) * (1 + jitter_fraction * u)``
     cycles, with ``u`` drawn from the relay's own RNG fork — reproducible
     for a given seed, yet desynchronized across devices sharing a config.
-
-    A cloud ``Throttled`` hint opens a backpressure window of at most
-    ``max_retry_after_cycles``, so an untrusted cloud cannot park the
-    device indefinitely.  The default (10 s at 2 GHz) sits above every
-    honest hint: the ``--overload`` ingestion profile issues at most one
-    token refill plus a two-record backlog drain, 8e9 cycles.
     """
 
     max_attempts: int = 4
@@ -57,13 +58,10 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     backoff_cap_cycles: int = 800_000
     jitter_fraction: float = 0.25
-    max_retry_after_cycles: int = 20_000_000_000
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.max_retry_after_cycles < 1:
-            raise ValueError("max_retry_after_cycles must be at least 1")
 
     def backoff_cycles(self, attempt: int, rng: SimRng) -> int:
         """Cycles to wait after failed attempt number ``attempt``."""
@@ -193,7 +191,7 @@ class RelayModule:
             if directive.get("directive") == "Throttled":
                 retry_after = min(
                     directive["retryAfterCycles"],
-                    self.policy.max_retry_after_cycles,
+                    MAX_RETRY_AFTER_CYCLES,
                 )
                 self.backpressure_until = self._ctx.now() + retry_after
                 self.last_attempts = attempt + 1

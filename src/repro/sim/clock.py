@@ -4,8 +4,8 @@ The clock is the single source of simulated time.  Components never call
 ``time.time()``; they *charge* cycles to the clock, tagged with the
 :class:`CycleDomain` the work ran in (secure CPU, normal CPU, DMA, ...).
 A charge only adds to two integer totals and calls nothing back: the
-energy meter, the ``cycles.<domain>`` metrics and the benchmark harness
-are views that read the per-domain totals when they are asked.
+energy meter and the ``cycles.<domain>`` metrics are views that read the
+per-domain totals (:meth:`SimClock.charged`) when they are asked.
 
 The CPU frequency is fixed (the Jetson AGX Xavier's Carmel cores nominally
 run at 2.26 GHz; we default to a round 2.0 GHz) so cycles convert to
@@ -15,7 +15,7 @@ wall-clock time deterministically.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 #: The default simulated core frequency (see :class:`SimClock`).
@@ -82,6 +82,8 @@ class SimClock:
     _per_domain: dict[CycleDomain, int] = field(
         default_factory=lambda: defaultdict(int)
     )
+    # Per-domain totals retired by reset(), so charged() never falls.
+    _retired: dict[CycleDomain, int] = field(default_factory=dict)
 
     @property
     def now(self) -> int:
@@ -123,11 +125,20 @@ class SimClock:
         """Convert a cycle count to milliseconds at the configured frequency."""
         return cycles_to_ms(cycles, self.freq_hz)
 
+    def charged(self) -> dict[CycleDomain, int]:
+        """Per-domain cycles charged over the clock's life, resets included.
+
+        These never fall, so the views built on them keep metering across
+        :meth:`reset` exactly as if it had not happened.
+        """
+        return dict(Counter(self._retired) + Counter(self._per_domain))
+
     def snapshot(self) -> ClockSnapshot:
         """Capture current totals for later delta measurement."""
         return ClockSnapshot(now=self._now, per_domain=dict(self._per_domain))
 
     def reset(self) -> None:
-        """Zero the clock and all per-domain counters (views come after)."""
+        """Zero the clock and its per-domain counters; :meth:`charged` goes on."""
+        self._retired = self.charged()
         self._now = 0
         self._per_domain.clear()

@@ -104,6 +104,33 @@ class TestCycleCounters:
         clock.advance(5, CycleDomain.DMA)
         assert obs.metrics.counters() == {"cycles.dma": 5}
 
+    def test_counter_accessor_is_current(self):
+        clock = SimClock()
+        obs = Observability(clock)
+        clock.advance(7, CycleDomain.SECURE_CPU)
+        assert obs.metrics.counter("cycles.secure_cpu").value == 7
+        clock.advance(3, CycleDomain.SECURE_CPU)
+        assert obs.metrics.counter("cycles.secure_cpu").value == 10
+
+    def test_keep_counting_across_clock_reset(self):
+        clock = SimClock()
+        obs = Observability(clock)
+        clock.advance(100, CycleDomain.NORMAL_CPU)
+        assert obs.metrics.counters() == {"cycles.normal_cpu": 100}
+        clock.reset()
+        assert obs.metrics.counters() == {"cycles.normal_cpu": 100}
+        # Grow past the pre-reset total before the next read.
+        clock.advance(150, CycleDomain.NORMAL_CPU)
+        clock.advance(4, CycleDomain.DMA)
+        obs.disable()
+        obs.enable()
+        assert obs.metrics.counters() == {
+            "cycles.dma": 4, "cycles.normal_cpu": 250,
+        }
+        obs.metrics.record_snapshot(clock.now, prefixes=("cycles.",))
+        assert obs.metrics.snapshots[-1].counters["cycles.normal_cpu"] == 250
+        assert clock.cycles_in(CycleDomain.NORMAL_CPU) == 150
+
 
 class TestEnergyView:
     def test_agrees_with_per_charge_integration(self):
@@ -171,6 +198,16 @@ class TestEnergyView:
         snap = meter.snapshot()
         clock.advance(1_000, CycleDomain.DMA)
         assert meter.delta_since(snap).total_mj == 0.0
+
+    def test_keeps_metering_across_clock_reset(self):
+        clock = SimClock(freq_hz=1e9)
+        meter = EnergyMeter(clock, PowerModel(normal_cpu_mw=1000.0))
+        clock.advance(100_000_000, CycleDomain.NORMAL_CPU)
+        clock.reset()
+        snap = meter.snapshot()
+        clock.advance(300_000_000, CycleDomain.NORMAL_CPU)
+        assert meter.report().total_mj == pytest.approx(400.0)
+        assert meter.delta_since(snap).total_mj == pytest.approx(300.0)
 
     def test_span_energy_prices_its_domain_cycles(self):
         clock = SimClock(freq_hz=1e9)

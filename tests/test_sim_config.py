@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.relay.relay import MAX_RETRY_AFTER_CYCLES
 from repro.sim.config import SimConfig
 from repro.sim.clock import CycleDomain
 
@@ -120,9 +121,9 @@ class TestRelayModule:
         assert relay.stats["retries"] == relay.policy.max_attempts - 1
         assert relay.backpressure_until == 0
 
-    def test_throttle_hint_clamped_to_policy_maximum(self, relay_setup):
+    def test_throttle_hint_clamped_to_maximum(self, relay_setup):
         """A cloud hint of 10^15 cycles (~5.8 simulated days) opens a
-        backpressure window no longer than the retry policy allows."""
+        backpressure window no longer than MAX_RETRY_AFTER_CYCLES."""
         from repro.errors import RelayThrottledError
         from repro.tz.worlds import World
 
@@ -140,25 +141,18 @@ class TestRelayModule:
                 relay.heartbeat()
         finally:
             machine.cpu._set_world(World.NORMAL)
-        limit = relay.policy.max_retry_after_cycles
+        limit = MAX_RETRY_AFTER_CYCLES
         assert excinfo.value.retry_after_cycles == limit
         assert 0 < relay.backpressure_until - opened <= limit
         assert deferred.value.deferred
         assert deferred.value.retry_after_cycles <= limit
 
-    def test_default_hint_bound_covers_honest_overload_hints(self):
+    def test_hint_bound_covers_honest_overload_hints(self):
         """The clamp never shortens a hint the overload profile can issue:
         at most one token refill plus a full tenant backlog drain."""
         from repro.cloud.service import IngestionConfig
-        from repro.relay.relay import RetryPolicy
 
         config = IngestionConfig.overload()
         worst = (config.refill_cycles_per_token
                  + config.tenant_queue_depth * config.service_cycles_per_record)
-        assert RetryPolicy().max_retry_after_cycles > worst
-
-    def test_hint_bound_must_be_positive(self):
-        from repro.relay.relay import RetryPolicy
-
-        with pytest.raises(ValueError, match="max_retry_after_cycles"):
-            RetryPolicy(max_retry_after_cycles=0)
+        assert MAX_RETRY_AFTER_CYCLES > worst
